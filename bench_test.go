@@ -107,10 +107,6 @@ func BenchmarkServiceGame(b *testing.B) { benchkit.ServiceGame(false)(b) }
 // bid journal. The pair gate bounds this tax at 4x the plain service.
 func BenchmarkServiceGameJournaled(b *testing.B) { benchkit.ServiceGame(true)(b) }
 
-// BenchmarkIngestThroughput measures concurrent bid intake through the
-// bounded admission queue into a journaled service, retries included.
-func BenchmarkIngestThroughput(b *testing.B) { benchkit.IngestThroughput()(b) }
-
 // BenchmarkShardedIngest1 measures sustained concurrent intake through
 // the sharded durable tier with a single shard — the baseline of the
 // sharded4-vs-single pair gate. Reports bids/s and p99 slot-advance

@@ -348,7 +348,6 @@ func Key() []struct {
 		{"SubstOnGame", SubstOnGame()},
 		{"ServiceGame", ServiceGame(false)},
 		{"ServiceGameJournaled", ServiceGame(true)},
-		{"IngestThroughput", IngestThroughput()},
 		{"ShardedIngest1", ShardedIngestThroughput(1)},
 		{"ShardedIngest4", ShardedIngestThroughput(4)},
 		{"ShardedIngest4Obs", ShardedIngestInstrumented(4)},

@@ -103,64 +103,6 @@ func ServiceGame(journaled bool) func(b *testing.B) {
 	}
 }
 
-// IngestThroughput returns the benchmark body for concurrent bid intake:
-// GOMAXPROCS submitters push 256 single-slot bids through the bounded
-// queue into a journaled service, blind-retrying on ErrOverloaded, so
-// the measurement covers admission control, the serialize-and-journal
-// path, and the retry contract end to end.
-func IngestThroughput() func(b *testing.B) {
-	return func(b *testing.B) {
-		const total, horizon = 256, core.Slot(4)
-		catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(50)}}
-		workers := runtime.GOMAXPROCS(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var m resilience.MemLog
-			js, err := resilience.NewJournaledService(sharedopt.Additive, catalog, horizon, &m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := resilience.NewIngest(js, resilience.IngestConfig{Queue: 32})
-			var next core.UserID
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						mu.Lock()
-						next++
-						u := next
-						mu.Unlock()
-						if u > total {
-							return
-						}
-						err := in.SubmitAdditive(1, core.OnlineBid{
-							User: u, Start: 1, End: 1, Values: []econ.Money{econ.Dollar},
-						})
-						for resilience.Retryable(err) {
-							err = in.SubmitAdditive(1, core.OnlineBid{
-								User: u, Start: 1, End: 1, Values: []econ.Money{econ.Dollar},
-							})
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			in.Close()
-			if st := in.Stats(); st.Accepted != total {
-				b.Fatalf("accepted %d of %d bids", st.Accepted, total)
-			}
-		}
-	}
-}
-
 // ShardedIngestThroughput returns the benchmark body for the sharded
 // durable tier under sustained concurrent intake: GOMAXPROCS submitters
 // drive 4 waves of 256 single-slot bids each into a ShardedService with

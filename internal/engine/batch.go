@@ -7,7 +7,7 @@ package engine
 //
 // Metering contract: batch operators charge the meter for exactly the
 // same unit counts, in the same places, as the retained row-at-a-time
-// reference in rowref.go — one scan per row a Scan produces, one build
+// reference in rowref_test.go — one scan per row a Scan produces, one build
 // per row entering a hash build or aggregation, one probe per probe-side
 // row reaching a join, one emit per row leaving Rows/ForEachBatch. When a
 // Limit bounds the query, operators propagate the remaining row budget

@@ -375,7 +375,7 @@ func TestSerialBuildSideNotEscalated(t *testing.T) {
 // parallel plans take the radix-partitioned path, and the dense duplicate
 // keys make any chain-order deviation visible in the probe output. Rows
 // and meters are compared against the row-at-a-time reference in
-// rowref.go at n ∈ {2, 4, 8}.
+// rowref_test.go at n ∈ {2, 4, 8}.
 func TestPartitionedBuildMatchesRowReference(t *testing.T) {
 	r := stats.NewRNG(47)
 	probe := NewTable("p", Schema{{Name: "k", Type: Int64}, {Name: "v", Type: Int64}})
@@ -409,7 +409,7 @@ func TestPartitionedBuildMatchesRowReference(t *testing.T) {
 // the input exceeds parallelSortMinRows so parallel plans take the
 // chunked sort + pairwise merge path, and the narrow key range forces
 // long runs of equal keys whose relative order (stability) any merge
-// mistake would scramble. Compared against rowref.go at n ∈ {2, 4, 8},
+// mistake would scramble. Compared against rowref_test.go at n ∈ {2, 4, 8},
 // both directions.
 func TestParallelMergeSortMatchesRowReference(t *testing.T) {
 	r := stats.NewRNG(53)

@@ -378,7 +378,7 @@ func TestBatchMatchesRowReference(t *testing.T) {
 
 // Differential property: morsel-parallel execution at 2, 4 and 8 workers
 // produces byte-identical rows and identical Meter counts to the serial
-// row-at-a-time reference in rowref.go, across the same randomized
+// row-at-a-time reference in rowref_test.go, across the same randomized
 // mixed-type pipelines as TestBatchMatchesRowReference. The probe table
 // spans several morsels so every worker count splits real work.
 func TestParallelMatchesRowReference(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 // Query is a fluent builder over columnar batch operators (see batch.go).
 // Construction errors are carried along and surfaced by Rows, so call
 // chains stay linear. The row-at-a-time reference implementation the
-// batch operators are differentially tested against lives in rowref.go.
+// batch operators are differentially tested against lives in
+// rowref_test.go.
 type Query struct {
 	it    batchIterator
 	meter *Meter

@@ -10,8 +10,8 @@ import (
 // specification of both row output (order and values) and the metering
 // contract: the property tests in property_test.go assert that the
 // columnar batch operators produce byte-identical rows and identical
-// Meter counts against it on randomized inputs. It is not used on any
-// production path.
+// Meter counts against it on randomized inputs. It lives in a test file
+// so that it never ships.
 
 // Iterator is a pull-based row stream — the reference execution
 // contract.

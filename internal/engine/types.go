@@ -59,7 +59,7 @@
 // build or aggregation, one probe per probe-side row reaching a join,
 // one emit per row leaving Rows/ForEachBatch — are identical, charge
 // point by charge point, to the row-at-a-time reference retained in
-// rowref.go, including early-exit behavior under Limit (operators
+// rowref_test.go, including early-exit behavior under Limit (operators
 // propagate the remaining row budget upstream rather than over-pulling).
 // The property tests assert byte-identical rows and identical Meter
 // counts between the two executors on randomized inputs.

@@ -1,8 +1,9 @@
 // Package resilience is the fault-tolerant front end around the pricing
 // tier: a checksummed bid journal, deterministic crash recovery, a
-// bounded-queue ingestion layer with admission control, a sharded
-// durable tier with per-shard journals and partial-failure degradation,
-// and seeded fault injection for testing all of it.
+// sharded durable tier with per-shard journals, admission control and
+// partial-failure degradation, and seeded fault injection for testing
+// all of it. The sharded tier is the one durable intake path; at one
+// shard it is the single-journal service.
 //
 // The paper's guarantees — truthfulness and exact cost recovery — are
 // economic statements about the set of accepted bids. A provider that
@@ -20,43 +21,47 @@
 // sequence number (strictly 1, 2, 3, …), a kind, and the mutation's
 // arguments with all money in exact integer micro-dollars. A service
 // journal opens with one "svc" config record (kind, horizon, catalog)
-// followed by mutation records ("abid", "sbid", "adv", "close"); a
-// period-manager journal opens with "mgr" and brackets each period's
-// mutations with a "start" record carrying that period's recomputed
-// costs. Each record is issued as a single Write to the log target
-// (MemLog in memory, FileLog with per-record fsync on disk), so a crash
-// tears at most the final record; ReadJournal verifies newline framing,
-// checksum, and sequence continuity, and cleanly discards everything
-// from the first damaged record on.
+// followed by mutation records ("abid", "sbid", "adv", "close"); a shard
+// journal opens with a "shard" config record that also names the shard's
+// index and the tier's shard count. Each record is issued as a single
+// Write to the log target (MemLog in memory, FileLog with per-record
+// fsync on disk), so a crash tears at most the final record; ReadJournal
+// verifies newline framing, checksum, and sequence continuity, and
+// cleanly discards everything from the first damaged record on.
 //
 // # Recovery invariants
 //
 // Mutations follow accept-then-journal with fail-stop semantics: a call
 // returns nil only if the mutation was applied AND journaled; the first
-// journal write failure wedges the service (ErrJournalBroken) so an
-// unjournaled accept can never be followed by further acknowledged work.
-// Because every mechanism in internal/core is deterministic, replaying
-// the journal's accepted prefix through RecoverService or
-// RecoverPeriodManager reproduces invoices, revenue, cost, and the
-// implemented set byte-identically — property-tested by crashing at
-// every record boundary (and with torn tails) of randomized workloads.
-// Recovery of a period manager re-runs the cost policy and verifies it
-// against the journaled period costs, failing with ErrPolicyDiverged on
-// any mismatch rather than silently recomputing different prices.
+// journal write failure wedges the shard (ErrJournalBroken underneath
+// ErrShardWedged) so an unjournaled accept can never be followed by
+// further acknowledged work on it. Because every mechanism in
+// internal/core is deterministic, replaying each shard journal's
+// accepted prefix through RecoverShardHost — and reconciling the N
+// prefixes through RecoverShardedService — reproduces invoices,
+// revenue, cost, and the implemented set byte-identically,
+// property-tested by crashing at every record boundary (and with torn
+// tails and cross-shard process kills) of randomized workloads. A
+// journaled bid the settlement game refuses on replay wedges its shard
+// with ErrPolicyDiverged rather than silently settling different
+// prices. RecoverService replays a standalone JournaledService journal
+// the same way.
 //
 // # Retry and idempotency contract
 //
-// Ingest admits bids into a bounded queue and rejects overflow fast with
-// the typed ErrOverloaded — never a silent drop; Counters carries the
-// exact accounting. ErrOverloaded (and only it) is Retryable; Retry
-// wraps an operation in capped exponential backoff. Blind retries are
-// safe against a journaled service because submissions are idempotent:
-// a resubmission byte-identical to an accepted one returns success
-// without journaling or applying anything, so a client that lost the
-// first acknowledgment cannot double-bid. Provider calls (AdvanceSlot,
-// ClosePeriod) take a context deadline; a deadline error means the
-// operation's fate is unknown (exactly as after a crash) and the caller
-// resynchronizes from Now or the journal.
+// Each shard admits at most ShardedConfig.MaxBatch bids between slots
+// and rejects overflow fast with the typed ErrOverloaded — never a
+// silent drop; ShardCounters carries the exact accounting.
+// ErrOverloaded (and only it) is Retryable; Retry wraps an operation in
+// capped exponential backoff. Blind retries are safe because
+// submissions are idempotent: a resubmission byte-identical to an
+// accepted one returns success without journaling or applying anything,
+// so a client that lost the first acknowledgment cannot double-bid.
+// ShardedConfig.CallTimeout bounds every call the router makes to a
+// shard; a call that runs out of it fails with ErrShardUnavailable,
+// meaning no decision was reached — the router resubmits in-doubt bids
+// at the next settlement, and an unfinished AdvanceSlot or ClosePeriod
+// parks durably and is completed by calling it again.
 //
 // # Sharded tier
 //
@@ -114,10 +119,9 @@
 // # Observability
 //
 // Instrumentation is opt-in and inert: pass an *obs.Registry in
-// IngestConfig.Obs or ShardedConfig.Obs and the front end and tier
-// maintain exact outcome counters (mirroring Counters/ShardCounters),
-// queue and batch high-water marks, and latency histograms for journal
-// writes, operation applies, and slot advances — lock-free and
+// ShardedConfig.Obs and the tier maintains exact outcome counters
+// (mirroring ShardCounters), batch high-water marks, and latency
+// histograms for journal writes and slot advances — lock-free and
 // allocation-free on the hot path. A nil registry costs one predicted
 // nil check per hook. Metrics are bookkeeping only: an instrumented run
 // produces byte-identical journals, invoices, and counters to a bare
@@ -136,7 +140,7 @@
 // crash (or a global write budget, KillAtWrite) stops every journal at
 // the same instant, tearing at most one record on one shard — the
 // cross-shard interleaving crash recovery must reconcile. cmd/pricer's
-// chaos mode drives randomized workloads through ingestion + journal +
-// recovery (single and sharded) under these plans and asserts the
-// invariants above on every schedule.
+// chaos mode drives randomized workloads through the sharded tier at
+// 1, 2, 4 or 8 shards — admission, journal, recovery — under these
+// plans and asserts the invariants above on every schedule.
 package resilience

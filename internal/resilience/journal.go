@@ -18,22 +18,19 @@ import (
 type RecordKind string
 
 // The journal record kinds. A standalone service journal is one
-// KindServiceConfig followed by mutations; a period-manager journal is
-// one KindManagerConfig followed by KindStartPeriod groups, each holding
-// that period's mutations.
+// KindServiceConfig followed by mutations; a shard journal is one
+// KindShardConfig followed by that shard's mutations.
 const (
 	KindServiceConfig RecordKind = "svc"
-	KindManagerConfig RecordKind = "mgr"
 	KindShardConfig   RecordKind = "shard"
-	KindStartPeriod   RecordKind = "start"
 	KindAdditiveBid   RecordKind = "abid"
 	KindSubstBid      RecordKind = "sbid"
 	KindAdvanceSlot   RecordKind = "adv"
 	KindClosePeriod   RecordKind = "close"
 )
 
-// OptCost is an (optimization, cost) pair as journaled in config and
-// start-period records. Costs are exact integer micro-dollars.
+// OptCost is an (optimization, cost) pair as journaled in config
+// records. Costs are exact integer micro-dollars.
 type OptCost struct {
 	ID   core.OptID `json:"id"`
 	Cost econ.Money `json:"cost"`
@@ -42,10 +39,9 @@ type OptCost struct {
 // Record is one journal entry. Seq is assigned by the journal (strictly
 // increasing from 1); the remaining fields are populated per Kind:
 //
-//   - svc/mgr: Game ("additive"/"substitutive"), Horizon, Opts (catalog)
+//   - svc:     Game ("additive"/"substitutive"), Horizon, Opts (catalog)
 //   - shard:   Game, Horizon, Opts, plus Shard (this journal's index)
 //     and Shards (the tier's shard count)
-//   - start:   Period (1-based), Opts (this period's recomputed costs)
 //   - abid:    User, Opt, Start, End, Values
 //   - sbid:    User, Set (substitute set), Start, End, Values
 //   - adv/close: no payload — their effects are deterministic replays
@@ -57,7 +53,6 @@ type Record struct {
 	Opts    []OptCost    `json:"opts,omitempty"`
 	Shard   int          `json:"shard,omitempty"`
 	Shards  int          `json:"shards,omitempty"`
-	Period  int          `json:"period,omitempty"`
 	User    core.UserID  `json:"user,omitempty"`
 	Opt     core.OptID   `json:"opt,omitempty"`
 	Set     []core.OptID `json:"set,omitempty"`

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -209,60 +208,5 @@ func TestShardedObsWedgeCounting(t *testing.T) {
 	}
 	if got := snap.Counters["shard0.read_only"]; got != 2 {
 		t.Fatalf("shard0.read_only = %d, want 2 (the faulted accept and the refusal)", got)
-	}
-}
-
-// The ingest front end's obs counters mirror Counters exactly, and the
-// queue high-water mark and apply-latency histogram populate.
-func TestIngestObsMirrorsCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	var m MemLog
-	js, err := NewJournaledService(sharedopt.Additive,
-		[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(3)}}, 4, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewIngest(js, IngestConfig{Queue: 4, Obs: reg})
-	defer in.Close()
-	for u := core.UserID(1); u <= 6; u++ {
-		err := in.SubmitAdditive(1, core.OnlineBid{User: u, Start: 1, End: 1,
-			Values: []econ.Money{econ.Dollar}})
-		for Retryable(err) {
-			err = in.SubmitAdditive(1, core.OnlineBid{User: u, Start: 1, End: 1,
-				Values: []econ.Money{econ.Dollar}})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One mechanism rejection: a retroactive bid after an advance.
-	if _, err := in.AdvanceSlot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.SubmitAdditive(1, core.OnlineBid{User: 99, Start: 1, End: 1,
-		Values: []econ.Money{econ.Dollar}}); err == nil {
-		t.Fatal("retroactive bid must be rejected")
-	}
-	st := in.Stats()
-	snap := reg.Snapshot()
-	for name, want := range map[string]uint64{
-		"ingest.accepted":   st.Accepted,
-		"ingest.rejected":   st.Rejected,
-		"ingest.expired":    st.Expired,
-		"ingest.overloaded": st.Overloaded,
-		"ingest.advanced":   st.Advanced,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("%s = %d, want %d (Counters %+v)", name, got, want, st)
-		}
-	}
-	applied := st.Accepted + st.Rejected + st.Advanced
-	if n := snap.Hists["ingest.apply_ns"].Count; n != uint64(applied) {
-		t.Errorf("ingest.apply_ns observed %d ops, want %d", n, applied)
-	}
-	// The high-water mark samples depth after admission; the worker may
-	// already have drained the op, so 0 is legal — only the bound is not.
-	if hw := snap.Gauges["ingest.queue_highwater"]; hw > 4 {
-		t.Errorf("ingest.queue_highwater = %d, want <= queue depth 4", hw)
 	}
 }

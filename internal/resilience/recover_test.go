@@ -42,18 +42,6 @@ func snapshotService(s *sharedopt.Service) string {
 	return b.String()
 }
 
-// snapshotManager renders a journaled period manager's harvested state
-// plus the open period's full service state.
-func snapshotManager(m *JournaledPeriodManager) string {
-	revenue, cost := m.Totals()
-	s := fmt.Sprintf("period=%d revenue=%v cost=%v implemented=%v\n",
-		m.Period(), revenue, cost, m.Implemented())
-	if cur := m.Current(); cur != nil {
-		s += snapshotService(cur.Service())
-	}
-	return s
-}
-
 // randomCatalog draws a small catalog with cent-precision costs.
 func randomCatalog(r *stats.RNG, n int) []sharedopt.Optimization {
 	opts := make([]sharedopt.Optimization, n)
@@ -294,127 +282,6 @@ func TestRecoverServiceCrashReplaySubstitutive(t *testing.T) {
 	testRecoverServiceCrashReplay(t, sharedopt.Substitutive)
 }
 
-// TestRecoverPeriodManagerCrashReplay runs multi-period workloads under
-// a maintenance-discount policy and crashes at every record boundary,
-// including the start-period records that reprice the catalog.
-func TestRecoverPeriodManagerCrashReplay(t *testing.T) {
-	policy, err := sharedopt.MaintenanceDiscount(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := stats.NewRNG(100 + seed)
-			kind := sharedopt.Additive
-			if seed%2 == 0 {
-				kind = sharedopt.Substitutive
-			}
-			catalog := randomCatalog(r, 3)
-			horizon := core.Slot(3 + r.Intn(3))
-			var m MemLog
-			jm, err := NewJournaledPeriodManager(kind, catalog, horizon, policy, &m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps := []string{snapshotManager(jm)}
-			snap := func() {
-				recs, _, torn := ReadJournal(m.Bytes())
-				if torn {
-					t.Fatal("live journal torn")
-				}
-				for len(snaps) < len(recs) {
-					snaps = append(snaps, snapshotManager(jm))
-				}
-			}
-			periods := 2 + int(seed%2)
-			for p := 0; p < periods; p++ {
-				js, err := jm.StartPeriod()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap()
-				user := core.UserID(1)
-				for now := core.Slot(0); now < horizon && !js.Closed(); now++ {
-					for i, k := 0, r.Intn(3); i < k; i++ {
-						start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-						end := start + core.Slot(r.Intn(int(horizon-start)+1))
-						vals := randomValues(r, start, end)
-						if kind == sharedopt.Additive {
-							err = js.SubmitAdditiveBid(catalog[r.Intn(len(catalog))].ID,
-								core.OnlineBid{User: user, Start: start, End: end, Values: vals})
-						} else {
-							err = js.SubmitSubstitutiveBid(core.OnlineSubstBid{
-								User: user, Opts: []core.OptID{catalog[r.Intn(len(catalog))].ID},
-								Start: start, End: end, Values: vals})
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						user++
-						snap()
-					}
-					if now > 0 && r.Intn(10) == 0 {
-						if _, err := js.ClosePeriod(); err != nil {
-							t.Fatal(err)
-						}
-						snap()
-						break
-					}
-					if _, err := js.AdvanceSlot(); err != nil {
-						t.Fatal(err)
-					}
-					snap()
-				}
-			}
-			verifyCrashBoundaries(t, m.Bytes(), snaps, func(recs []Record) (string, error) {
-				rec, err := RecoverPeriodManager(recs, policy, io.Discard)
-				if err != nil {
-					return "", err
-				}
-				return snapshotManager(rec), nil
-			})
-		})
-	}
-}
-
-// TestRecoverPolicyDiverged recovers a maintenance-discount journal with
-// a different policy: the journaled period-2 costs cannot be reproduced
-// and recovery must refuse with ErrPolicyDiverged.
-func TestRecoverPolicyDiverged(t *testing.T) {
-	policy, err := sharedopt.MaintenanceDiscount(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
-	var m MemLog
-	jm, err := NewJournaledPeriodManager(sharedopt.Additive, catalog, 1, policy, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := jm.StartPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := js.SubmitAdditiveBid(1, core.OnlineBid{
-		User: 1, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(12)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := js.AdvanceSlot(); err != nil { // implements opt 1, closes period
-		t.Fatal(err)
-	}
-	if _, err := jm.StartPeriod(); err != nil { // period 2: discounted to $5
-		t.Fatal(err)
-	}
-	recs, _, _ := ReadJournal(m.Bytes())
-	if _, err := RecoverPeriodManager(recs, policy, io.Discard); err != nil {
-		t.Fatalf("recovery with the original policy: %v", err)
-	}
-	if _, err := RecoverPeriodManager(recs, sharedopt.FixedCost, io.Discard); !errors.Is(err, ErrPolicyDiverged) {
-		t.Fatalf("recovery with a different policy: got %v, want ErrPolicyDiverged", err)
-	}
-}
-
 // TestRecoverIdempotentDuplicateAfterRecovery checks the idempotency
 // fingerprints survive recovery: a duplicate of a pre-crash bid is still
 // a no-op on the recovered service.
@@ -452,24 +319,24 @@ func TestRecoverIdempotentDuplicateAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsWrongJournalType ensures service and manager
+// TestRecoverRejectsWrongJournalType ensures service and shard-host
 // recovery refuse each other's journals.
 func TestRecoverRejectsWrongJournalType(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
-	var svcLog, mgrLog MemLog
+	var svcLog, shardLog MemLog
 	if _, err := NewJournaledService(sharedopt.Additive, catalog, 2, &svcLog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewJournaledPeriodManager(sharedopt.Additive, catalog, 2, nil, &mgrLog); err != nil {
+	if _, err := NewShardHost(sharedopt.Additive, catalog, 2, 0, 1, &shardLog); err != nil {
 		t.Fatal(err)
 	}
 	svcRecs, _, _ := ReadJournal(svcLog.Bytes())
-	mgrRecs, _, _ := ReadJournal(mgrLog.Bytes())
-	if _, err := RecoverService(mgrRecs, io.Discard); err == nil {
-		t.Fatal("RecoverService accepted a manager journal")
+	shardRecs, _, _ := ReadJournal(shardLog.Bytes())
+	if _, err := RecoverService(shardRecs, io.Discard); err == nil {
+		t.Fatal("RecoverService accepted a shard journal")
 	}
-	if _, err := RecoverPeriodManager(svcRecs, nil, io.Discard); err == nil {
-		t.Fatal("RecoverPeriodManager accepted a service journal")
+	if _, err := RecoverShardHost(svcRecs, io.Discard); err == nil {
+		t.Fatal("RecoverShardHost accepted a service journal")
 	}
 	if _, err := RecoverService(nil, io.Discard); !errors.Is(err, ErrEmptyJournal) {
 		t.Fatal("empty journal not rejected")

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"sharedopt"
 	"sharedopt/internal/core"
+	"sharedopt/internal/econ"
 )
 
 // TestRetryBackoffSchedule checks the capped doubling schedule without
@@ -68,7 +70,7 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 	if !errors.Is(err, permanent) || calls != 1 {
 		t.Fatalf("err=%v calls=%d, want the permanent error after 1 call", err, calls)
 	}
-	for _, e := range []error{ErrJournalBroken, ErrClosed, permanent, nil} {
+	for _, e := range []error{ErrJournalBroken, permanent, nil} {
 		if Retryable(e) {
 			t.Fatalf("Retryable(%v) = true", e)
 		}
@@ -103,38 +105,47 @@ func TestRetryHonorsContext(t *testing.T) {
 }
 
 // TestRetryAgainstSaturatedIngest is the integration case the contract
-// promises: a blind retry loop against a saturated front end eventually
-// lands its bid exactly once.
+// promises: a blind retry loop against a saturated tier — its shard's
+// between-slots batch full — lands its bid exactly once after
+// settlement drains the batch.
 func TestRetryAgainstSaturatedIngest(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 64)
-	in, js, m := newIngestFixture(t, 1, func() { entered <- struct{}{}; <-gate })
-
-	// Saturate: one bid parked in the worker, one in the queue.
-	for u := 100; u < 102; u++ {
-		go in.SubmitAdditive(1, bidFor(core.UserID(u)))
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
+	logs, ws := memWriters(1)
+	ss, err := NewShardedService(sharedopt.Additive, catalog, 3, ws, ShardedConfig{MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-entered
-
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(context.Background(),
-			Backoff{Attempts: 1000, Sleep: func(time.Duration) { time.Sleep(100 * time.Microsecond) }},
-			func() error { return in.SubmitAdditive(1, bidFor(7)) })
-	}()
-	// Give the retry loop time to bounce off the full queue, then drain.
-	time.Sleep(5 * time.Millisecond)
-	close(gate)
-	if err := <-done; err != nil {
+	// Saturate: two bids fill the shard's batch.
+	for u := core.UserID(100); u < 102; u++ {
+		if err := ss.SubmitAdditiveBid(1, bidFor(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bid := core.OnlineBid{User: 7, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(3)}}
+	attempts := 0
+	err = Retry(context.Background(), Backoff{Attempts: 10, Sleep: func(time.Duration) {
+		// The backoff gap after the second bounce is when the provider
+		// settles the slot and drains the batch.
+		if attempts == 2 {
+			if _, err := ss.AdvanceSlot(); err != nil {
+				t.Error(err)
+			}
+		}
+	}}, func() error {
+		attempts++
+		return ss.SubmitAdditiveBid(1, bid)
+	})
+	if err != nil {
 		t.Fatalf("retried submission never landed: %v", err)
 	}
-	st := in.Stats()
-	if st.Overloaded == 0 {
-		t.Fatal("retry test never saw ErrOverloaded")
+	if attempts != 3 {
+		t.Fatalf("landed after %d attempts, want 3", attempts)
 	}
-	in.Close()
+	if st := ss.ShardStats()[0]; st.Overloaded != 2 || st.Accepted != 3 {
+		t.Fatalf("shard counters = %+v, want Overloaded=2 Accepted=3", st)
+	}
 	// Exactly one journal record for user 7 despite the blind retries.
-	recs, _, torn := ReadJournal(m.Bytes())
+	recs, _, torn := ReadJournal(logs[0].Bytes())
 	if torn {
 		t.Fatal("journal torn")
 	}
@@ -147,8 +158,8 @@ func TestRetryAgainstSaturatedIngest(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("user 7 journaled %d times, want exactly 1", got)
 	}
-	if js.Broken() != nil {
-		t.Fatal("journal wedged during retry test")
+	if w := ss.WedgedShards(); len(w) != 0 {
+		t.Fatalf("shards %v wedged during retry test", w)
 	}
 }
 

@@ -47,6 +47,19 @@ import (
 // unaffected. Errors wrapping it name the shard index and cause.
 var ErrShardWedged = errors.New("resilience: shard wedged, serving its users read-only")
 
+// ErrOverloaded is the typed admission-control rejection: the shard's
+// between-slots batch is full and the submission was NOT journaled. It
+// is the only way a submission is turned away under load — nothing is
+// ever silently dropped — and it is retryable (see Retry), safely so
+// because accepted submissions are journaled idempotently.
+var ErrOverloaded = errors.New("resilience: ingestion queue overloaded")
+
+// ErrPolicyDiverged marks an accepted, journaled bid that the settlement
+// game refused — the shard's history no longer agrees with the policy
+// the tier settles under, so settling it would silently charge users
+// something other than what the shard acknowledged. The shard wedges.
+var ErrPolicyDiverged = errors.New("resilience: cost policy diverged from journaled period costs")
+
 // ShardFor deterministically routes a user to one of shards shards. The
 // function is part of the durable contract: recovery regroups users by
 // re-deriving it, so it must never change for journals in the wild (the
@@ -187,8 +200,8 @@ const (
 	phaseClose
 )
 
-// ShardedService is the N-shard durable pricing tier. It satisfies the
-// Backend interface, so it drops into the Ingest front end unchanged.
+// ShardedService is the N-shard durable pricing tier; at N=1 it is the
+// single-journal durable service with admission control.
 type ShardedService struct {
 	mu       sync.Mutex // serializes settlement (AdvanceSlot/ClosePeriod)
 	kind     sharedopt.GameKind

@@ -6,14 +6,13 @@ package resilience
 // while degrading per shard, not per tier, under partial failure.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"sharedopt"
 	"sharedopt/internal/core"
@@ -32,8 +31,6 @@ type pricedState interface {
 	ImplementedOpts() []core.OptID
 	Invoices() map[core.UserID]econ.Money
 }
-
-var _ Backend = (*ShardedService)(nil)
 
 // snapshotTier renders the complete priced state of any tier flavor.
 func snapshotTier(s pricedState) string {
@@ -136,10 +133,14 @@ func buildTierOps(seed uint64, kind sharedopt.GameKind, catalog []sharedopt.Opti
 	return ops
 }
 
-// tierBackend is Backend plus the clock reads applyTierOps needs to
-// skip already-settled work when re-driving a script after recovery.
+// tierBackend is the mutation surface every tier flavor shares, plus
+// the clock reads applyTierOps needs to skip already-settled work when
+// re-driving a script after recovery.
 type tierBackend interface {
-	Backend
+	SubmitAdditiveBid(opt core.OptID, bid core.OnlineBid) error
+	SubmitSubstitutiveBid(bid core.OnlineSubstBid) error
+	AdvanceSlot() (core.SlotReport, error)
+	ClosePeriod() (map[core.UserID]econ.Money, error)
 	Now() core.Slot
 	Closed() bool
 }
@@ -473,6 +474,95 @@ func TestShardedOverloaded(t *testing.T) {
 	}
 }
 
+// TestShardedSaturationExactAccounting drives far more concurrent
+// submissions into a one-shard tier than its between-slots batch holds.
+// Every submission must be accounted for — accepted, mechanism-rejected,
+// or ErrOverloaded — with nothing silently dropped, the journal must
+// hold exactly config + accepted records, and after settlement every
+// accepted user and no overloaded one must be invoiced.
+func TestShardedSaturationExactAccounting(t *testing.T) {
+	const maxBatch = 4
+	const submitters = 32
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(3)}}
+	logs, ws := memWriters(1)
+	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var accepted, overloaded, rejected []core.UserID
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(u core.UserID) {
+			defer wg.Done()
+			bid := core.OnlineBid{User: u, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(20)}}
+			if u%8 == 0 { // deliberately invalid: horizon overrun
+				bid.End = 99
+				bid.Values = nil
+			}
+			err := ss.SubmitAdditiveBid(1, bid)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				accepted = append(accepted, u)
+			case errors.Is(err, ErrOverloaded):
+				overloaded = append(overloaded, u)
+			default:
+				rejected = append(rejected, u)
+			}
+		}(core.UserID(i + 1))
+	}
+	wg.Wait()
+
+	if got := len(accepted) + len(overloaded) + len(rejected); got != submitters {
+		t.Fatalf("accounting leak: %d+%d+%d = %d of %d submissions",
+			len(accepted), len(overloaded), len(rejected), got, submitters)
+	}
+	st := ss.ShardStats()[0]
+	if st.Accepted != uint64(len(accepted)) || st.Overloaded != uint64(len(overloaded)) ||
+		st.Rejected != uint64(len(rejected)) {
+		t.Fatalf("counters %+v disagree with observed %d/%d/%d",
+			st, len(accepted), len(overloaded), len(rejected))
+	}
+	if len(accepted) == 0 || len(accepted) > maxBatch {
+		t.Fatalf("accepted %d bids into a batch of %d", len(accepted), maxBatch)
+	}
+	if len(overloaded) == 0 {
+		t.Fatal("saturation test produced no ErrOverloaded")
+	}
+
+	// Journal: one config record plus exactly one record per accepted bid.
+	recs, _, torn := ReadJournal(logs[0].Bytes())
+	if torn {
+		t.Fatal("journal torn")
+	}
+	if len(recs) != 1+len(accepted) {
+		t.Fatalf("journal has %d records, want 1 config + %d accepted", len(recs), len(accepted))
+	}
+
+	// Advance past slot 1 and settle: every accepted user is invoiced.
+	if _, err := ss.AdvanceSlot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.ClosePeriod(); err != nil {
+		t.Fatal(err)
+	}
+	inv := ss.Invoices()
+	for _, u := range accepted {
+		if _, ok := inv[u]; !ok {
+			t.Fatalf("accepted user %d has no invoice", u)
+		}
+	}
+	for _, u := range overloaded {
+		if _, ok := inv[u]; ok {
+			t.Fatalf("overloaded user %d was invoiced", u)
+		}
+	}
+}
+
 // TestShardedDuplicateNotDoubleSettled: an idempotent duplicate must
 // not be folded into settlement twice.
 func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
@@ -508,34 +598,5 @@ func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	st := ss.ShardStats()
 	if st[1].Accepted != 1 || st[1].Settled != 1 {
 		t.Fatalf("shard 1 counters = %+v, want Accepted=1 Settled=1", st[1])
-	}
-}
-
-// TestShardedIngestFrontEnd: the sharded tier satisfies Backend, so the
-// admission-controlled Ingest front end drives it unchanged.
-func TestShardedIngestFrontEnd(t *testing.T) {
-	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	_, ws := memWriters(2)
-	ss, err := NewShardedService(sharedopt.Additive, catalog, 3, ws, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewIngest(ss, IngestConfig{Queue: 8})
-	defer in.Close()
-	for u := core.UserID(1); u <= 6; u++ {
-		if err := in.SubmitAdditive(1, shardBid(u)); err != nil {
-			t.Fatalf("ingest submit user %d: %v", u, err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := in.AdvanceSlot(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Stats().Accepted; got != 6 {
-		t.Fatalf("front end accepted %d, want 6", got)
-	}
-	if inv := ss.Invoices(); len(inv) != 6 {
-		t.Fatalf("settled %d invoices, want 6", len(inv))
 	}
 }

@@ -9,10 +9,10 @@ package resilience
 //     and shard count agree with the others. An empty journal is a
 //     creation crash — its config write never completed, so nothing on
 //     it was ever acknowledged and it is re-seeded in place.
-//  2. Each shard's record prefix is replayed into a fresh replica,
-//     grouping its accepted bids into settlement windows: the bids
-//     between consecutive adv markers. The shard's frontier is its adv
-//     count.
+//  2. Each shard's record prefix is replayed into a fresh replica host
+//     (RecoverShardHost), and its accepted bids are grouped into
+//     settlement windows: the bids between consecutive adv markers. The
+//     shard's frontier is its adv count.
 //  3. The reconciled slot S is the maximum frontier: an advance with at
 //     least one durable adv marker was acknowledged (the marker is
 //     written before the advance returns), so like an in-doubt
@@ -61,7 +61,28 @@ type shardReplay struct {
 	windows [][]pendingBid
 	tail    []pendingBid
 	closed  bool
-	bids    uint64
+}
+
+// groupWindows splits a shard journal's records after its config record
+// into settlement windows at the adv markers. Nothing may follow a close
+// marker.
+func groupWindows(recs []Record) (shardReplay, error) {
+	var rep shardReplay
+	for _, rec := range recs[1:] {
+		if rep.closed {
+			return rep, errCorrupt(rec, errors.New("record after close marker"))
+		}
+		switch rec.Kind {
+		case KindAdditiveBid, KindSubstBid:
+			rep.tail = append(rep.tail, pendingFromRecord(rec))
+		case KindAdvanceSlot:
+			rep.windows = append(rep.windows, rep.tail)
+			rep.tail = nil
+		case KindClosePeriod:
+			rep.closed = true
+		}
+	}
+	return rep, nil
 }
 
 // pendingFromRecord converts a journaled bid back into batch form,
@@ -138,21 +159,20 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 		settle:   settle,
 	}
 
-	// Replay each shard's prefix into a fresh replica host, grouping its
-	// bids into settlement windows. The recovered tier fronts its hosts
-	// with in-process loopback transports.
+	// Replay each shard's prefix into a fresh replica host, then group
+	// its bids into settlement windows. The recovered tier fronts its
+	// hosts with in-process loopback transports.
 	hosts := make([]*ShardHost, n)
 	reps := make([]shardReplay, n)
-	for i := range journals {
-		replica, err := newService(kind, catalog, tierCfg.Horizon)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: corrupt journal: config rejected: %w", err)
-		}
-		recs := journals[i]
+	for i, recs := range journals {
 		if len(recs) == 0 {
 			// Creation crash: nothing durable was ever acknowledged on
 			// this shard. Re-seed its config record; if even that write
 			// fails the shard comes up wedged instead of sinking the tier.
+			replica, err := newService(kind, catalog, tierCfg.Horizon)
+			if err != nil {
+				return nil, fmt.Errorf("resilience: corrupt journal: config rejected: %w", err)
+			}
 			j := NewJournal(writers[i])
 			hosts[i] = &ShardHost{js: newJournaledOn(replica, j), shard: i, shards: n, opts: tierCfg.Opts}
 			s.shards[i] = newShard(hosts[i], shardMetrics{})
@@ -161,36 +181,17 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 			}
 			continue
 		}
-		host := &ShardHost{
-			js:     newJournaledOn(replica, NewJournalAt(writers[i], recs[len(recs)-1].Seq)),
-			shard:  i,
-			shards: n,
-			opts:   tierCfg.Opts,
+		host, err := RecoverShardHost(recs, writers[i])
+		if err != nil {
+			return nil, err
+		}
+		if reps[i], err = groupWindows(recs); err != nil {
+			return nil, err
 		}
 		hosts[i] = host
 		sh := newShard(host, shardMetrics{})
 		s.shards[i] = sh
-		rep := &reps[i]
-		for _, rec := range recs[1:] {
-			if rep.closed {
-				return nil, errCorrupt(rec, errors.New("record after close marker"))
-			}
-			switch rec.Kind {
-			case KindAdditiveBid, KindSubstBid:
-				rep.tail = append(rep.tail, pendingFromRecord(rec))
-				rep.bids++
-			case KindAdvanceSlot:
-				rep.windows = append(rep.windows, rep.tail)
-				rep.tail = nil
-			case KindClosePeriod:
-				rep.closed = true
-			}
-			if err := host.js.applyRecord(rec); err != nil {
-				return nil, err
-			}
-		}
-		host.bids = rep.bids
-		sh.counters.Accepted = rep.bids
+		sh.counters.Accepted = host.bids
 		// Prime the router's dedup set with every journaled bid, so a
 		// client retrying a pre-crash submission is recognized as a
 		// duplicate instead of double-batched.

@@ -130,9 +130,9 @@ func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizo
 
 // RecoverShardHost rebuilds one shard host from its journal prefix and
 // resumes appending to w — the restart path for a single killed shard
-// process, while RecoverShardedService reconciles a whole tier. The
-// replayed fingerprints restore dedup, so submissions accepted before
-// the crash remain idempotent after it.
+// process, and the per-shard replay RecoverShardedService runs before
+// reconciling a whole tier. The replayed fingerprints restore dedup, so
+// submissions accepted before the crash remain idempotent after it.
 func RecoverShardHost(recs []Record, w io.Writer) (*ShardHost, error) {
 	if len(recs) == 0 {
 		return nil, ErrEmptyJournal
