@@ -98,6 +98,21 @@ func BenchmarkAddOnGame(b *testing.B) { benchkit.AddOnGame()(b) }
 // users over 12 optimizations — one Figure 2(d) trial.
 func BenchmarkSubstOnGame(b *testing.B) { benchkit.SubstOnGame()(b) }
 
+// BenchmarkAddOnChurn measures the last 64 slots of AddOn games that
+// hold the live set fixed while the horizon, and with it the number of
+// departed users, grows 8x — the two sides of the h1024-vs-h128 pair
+// gate.
+func BenchmarkAddOnChurn(b *testing.B) {
+	b.Run("h128", benchkit.AddOnChurn(128))
+	b.Run("h1024", benchkit.AddOnChurn(1024))
+}
+
+// BenchmarkSubstOnChurn is BenchmarkAddOnChurn for SubstOn games.
+func BenchmarkSubstOnChurn(b *testing.B) {
+	b.Run("h128", benchkit.SubstOnChurn(128))
+	b.Run("h1024", benchkit.SubstOnChurn(1024))
+}
+
 // BenchmarkServiceGame measures one complete 12-slot, 48-user additive
 // pricing period through the plain in-memory service layer.
 func BenchmarkServiceGame(b *testing.B) { benchkit.ServiceGame(false)(b) }

@@ -577,6 +577,30 @@ func Pairs() []Pair {
 			NeedProcs:         1,
 		},
 		{
+			// Live-set claim: with the live set held fixed, a game that
+			// has seen 8x more users (a horizon of 1024 slots against
+			// 128) must settle its last slots at ≥0.70x the speed, since
+			// AdvanceSlot touches only unpaid users. A slot that scanned
+			// every user ever seen reads about 0.07x here. Single-
+			// threaded, so the bound holds on any runner.
+			Name:              "AddOnChurn/h1024-vs-h128",
+			Baseline:          AddOnChurn(128),
+			Candidate:         AddOnChurn(1024),
+			MinSpeedup:        0.70,
+			RelaxedMinSpeedup: 0.70,
+			NeedProcs:         1,
+		},
+		{
+			// The same claim for SubstOn, whose phase loop also takes
+			// forced-set sizes rather than the lists of granted users.
+			Name:              "SubstOnChurn/h1024-vs-h128",
+			Baseline:          SubstOnChurn(128),
+			Candidate:         SubstOnChurn(1024),
+			MinSpeedup:        0.70,
+			RelaxedMinSpeedup: 0.70,
+			NeedProcs:         1,
+		},
+		{
 			Name:              "AstroWorkload/parallel4-vs-serial",
 			Baseline:          AstroWorkload(),
 			Candidate:         AstroWorkloadParallel(4),

@@ -55,6 +55,14 @@ type onlineUser struct {
 	payment  econ.Money // final payment, set when paid
 }
 
+// indexedUser is one entry of AddOn's index of unpaid users. The ID
+// lives here rather than in onlineUser, which every user ever seen
+// keeps, so the index costs memory only while a user is unpaid.
+type indexedUser struct {
+	id UserID
+	*onlineUser
+}
+
 // AddOn is the AddOn Mechanism (paper, Mechanism 2): the online
 // cost-sharing mechanism for a single additive optimization across
 // multiple time slots. Usage:
@@ -74,7 +82,10 @@ type onlineUser struct {
 //
 // AdvanceSlot runs the mechanism on the sorted-prefix form of the Shapley
 // mechanism over a scratch buffer reused across slots, so a warm game
-// allocates only its per-slot report.
+// allocates only its per-slot report. It touches only the unpaid users,
+// held in two index slices (not-yet-started and live), so a slot costs
+// O(live · log live) plus a scan of the not-yet-started bids, independent
+// of how many users have already departed; Close is O(unpaid).
 //
 // Because optimizations are additive, a game with several optimizations is
 // a set of independent AddOn instances; see AdditiveGame.
@@ -86,6 +97,13 @@ type AddOn struct {
 	implemented   bool
 	implementedAt Slot
 	servicedCount int // |CSj|, maintained incrementally
+
+	// pending holds users whose bid is placed but whose start slot has
+	// not been reached; live holds users who have started and are not yet
+	// paid, serviced or not. Together they are exactly the unpaid users.
+	// Their backing arrays are reused across slots; Close drops both.
+	pending []indexedUser
+	live    []indexedUser
 
 	scratch []userBid // per-slot bidder buffer, reused across AdvanceSlot
 }
@@ -125,7 +143,9 @@ func (a *AddOn) Submit(bid OnlineBid) error {
 	}
 	u := a.users[bid.User]
 	if u == nil {
-		a.users[bid.User] = &onlineUser{valueCurve: newValueCurve(bid)}
+		u = &onlineUser{valueCurve: newValueCurve(bid)}
+		a.users[bid.User] = u
+		a.pending = append(a.pending, indexedUser{bid.User, u})
 		return nil
 	}
 	if u.paid {
@@ -143,16 +163,29 @@ func (a *AddOn) AdvanceSlot() SlotReport {
 	t := a.now
 	report := SlotReport{Slot: t, Departures: make(map[UserID]econ.Money)}
 
-	// Collect residual bids of not-yet-serviced users into the reusable
-	// scratch buffer; previously serviced users are the forced set and
-	// only contribute their count.
+	// Move users whose start slot has come from pending to live. A
+	// revision may move a not-yet-started bid's start earlier, so the
+	// gate is read afresh every slot.
+	pending := a.pending[:0]
+	for _, u := range a.pending {
+		if t < u.start {
+			pending = append(pending, u)
+		} else {
+			a.live = append(a.live, u)
+		}
+	}
+	a.pending = pending
+
+	// Collect residual bids of live, not-yet-serviced users into the
+	// reusable scratch buffer; previously serviced users are the forced
+	// set and only contribute their count.
 	bidders := a.scratch[:0]
-	for id, u := range a.users {
-		if u.serviced || t < u.start {
+	for _, u := range a.live {
+		if u.serviced {
 			continue
 		}
 		if r := u.residual(t); r > 0 {
-			bidders = append(bidders, userBid{user: id, bid: r})
+			bidders = append(bidders, userBid{user: u.id, bid: r})
 		}
 	}
 	sortBidsDesc(bidders)
@@ -168,27 +201,31 @@ func (a *AddOn) AdvanceSlot() SlotReport {
 		a.servicedCount++
 		report.NewGrants = append(report.NewGrants, Grant{User: ub.user, Opt: a.opt.ID})
 	}
-	for id, u := range a.users {
-		if u.serviced && t >= u.start && t <= u.end {
-			report.Active = append(report.Active, Grant{User: id, Opt: a.opt.ID})
-		}
-	}
-	sortGrants(report.NewGrants)
-	sortGrants(report.Active)
 
-	// Charge users whose bid interval ends now. Serviced users pay the
-	// current (lowest so far) share; never-serviced users pay nothing.
+	// One pass over the live set lists the serviced users as active and
+	// charges those whose bid interval ends now, dropping them from the
+	// index. end is read here, not cached, since a revision may extend
+	// it. Serviced users pay the current (lowest so far) share;
+	// never-serviced users pay nothing.
 	share := a.currentShare()
-	for id, u := range a.users {
-		if u.paid || u.end != t {
+	live := a.live[:0]
+	for _, u := range a.live {
+		if u.serviced {
+			report.Active = append(report.Active, Grant{User: u.id, Opt: a.opt.ID})
+		}
+		if u.end != t {
+			live = append(live, u)
 			continue
 		}
 		u.paid = true
 		if u.serviced {
 			u.payment = share
 		}
-		report.Departures[id] = u.payment
+		report.Departures[u.id] = u.payment
 	}
+	a.live = live
+	sortGrants(report.NewGrants)
+	sortGrants(report.Active)
 	a.scratch = bidders
 	return report
 }
@@ -196,19 +233,21 @@ func (a *AddOn) AdvanceSlot() SlotReport {
 // Close settles every user who has not yet paid, charging serviced users
 // the current cost-share. Call it at the end of the pricing period T, after
 // the final AdvanceSlot. It returns the payments charged by this call.
+// Close empties the index of unpaid users, so a later AdvanceSlot prices
+// only bids submitted after it.
 func (a *AddOn) Close() map[UserID]econ.Money {
 	share := a.currentShare()
-	settled := make(map[UserID]econ.Money)
-	for id, u := range a.users {
-		if u.paid {
-			continue
+	settled := make(map[UserID]econ.Money, len(a.pending)+len(a.live))
+	for _, unpaid := range [2][]indexedUser{a.pending, a.live} {
+		for _, u := range unpaid {
+			u.paid = true
+			if u.serviced {
+				u.payment = share
+			}
+			settled[u.id] = u.payment
 		}
-		u.paid = true
-		if u.serviced {
-			u.payment = share
-		}
-		settled[id] = u.payment
 	}
+	a.pending, a.live = nil, nil
 	return settled
 }
 

@@ -72,9 +72,15 @@ func SubstOff(opts []Optimization, bids []SubstBid) (*Outcome, error) {
 		bidders = append(bidders, substBidder{user: b.User, bid: b.Value, opts: b.Opts})
 	}
 	phases := substPhases(opts, bidders, nil, nil)
+	// With nothing forced, an optimization's serviced users are exactly
+	// its new grants, which arrive sorted by (optimization, user).
+	serviced := make(map[OptID][]UserID, len(phases.order))
+	for _, g := range phases.newGrants {
+		serviced[g.Opt] = append(serviced[g.Opt], g.User)
+	}
 	outcome := NewOutcome()
 	for _, pos := range phases.order {
-		outcome.addGrants(opts[pos].ID, phases.serviced[pos], phases.share[pos])
+		outcome.addGrants(opts[pos].ID, serviced[opts[pos].ID], phases.share[pos])
 	}
 	return outcome, nil
 }
@@ -121,29 +127,24 @@ type availOpt struct {
 }
 
 // substScratch holds the phase loop's reusable buffers so an online game
-// can run substPhases every slot without rebuilding them. The serviced,
-// share, and order buffers back the returned phasesResult, so a result
-// is valid only until the next substPhases call with the same scratch.
+// can run substPhases every slot without rebuilding them. The share and
+// order buffers back the returned phasesResult, so a result is valid only
+// until the next substPhases call with the same scratch.
 type substScratch struct {
 	active    []substBidder
 	available []availOpt
 	optBids   []userBid
-	serviced  [][]UserID
 	share     []econ.Money
 	order     []int32
 }
 
-// phasesResult is the output of the SubstOff phase loop. The serviced
-// and share slices are indexed by position in the opts slice passed to
-// substPhases (not by OptID), which keeps a warm online slot free of
-// per-slot map allocation.
+// phasesResult is the output of the SubstOff phase loop. The share slice
+// is indexed by position in the opts slice passed to substPhases (not by
+// OptID), which keeps a warm online slot free of per-slot map allocation.
 type phasesResult struct {
 	// order lists implemented optimizations, as positions into opts, in
 	// implementation order.
 	order []int32
-	// serviced[pos] lists opts[pos]'s serviced users — including forced
-	// (previously granted) ones, sorted — when pos appears in order.
-	serviced [][]UserID
 	// share[pos] is opts[pos]'s final per-user cost-share this run, or 0
 	// when pos was not implemented.
 	share []econ.Money
@@ -154,17 +155,19 @@ type phasesResult struct {
 }
 
 // substPhases is the phase loop shared by SubstOff and SubstOn. bidders
-// are the active users with their residual bids; forced maps optimization
-// → users that must remain serviced by it (the "b'ij ← ∞" rows of
-// Mechanism 4); forced users must not appear in bidders. scratch may be
-// nil for one-shot callers. Inputs are assumed validated.
+// are the active users with their residual bids; forced[pos] counts the
+// users that must remain serviced by opts[pos] (the "b'ij ← ∞" rows of
+// Mechanism 4), and nil forces nobody; forced users must not appear in
+// bidders. Only the counts matter, so the loop's cost does not grow with
+// the number of forced users. scratch may be nil for one-shot callers.
+// Inputs are assumed validated.
 //
 // The active set is sorted once in descending bid order; each phase then
 // evaluates every remaining optimization with a zero-allocation
 // sorted-prefix scan (see servicedPrefix) over the subset of active users
 // that want it, and serviced users are removed with an order-preserving
 // merge so no re-sort is ever needed.
-func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]UserID, scratch *substScratch) phasesResult {
+func substPhases(opts []Optimization, bidders []substBidder, forced []int, scratch *substScratch) phasesResult {
 	if scratch == nil {
 		scratch = &substScratch{}
 	}
@@ -172,19 +175,10 @@ func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]
 	if cap(scratch.share) < len(opts) {
 		scratch.share = make([]econ.Money, len(opts))
 	}
-	if cap(scratch.serviced) < len(opts) {
-		serviced := make([][]UserID, len(opts))
-		copy(serviced, scratch.serviced)
-		scratch.serviced = serviced
-	}
 	scratch.share = scratch.share[:len(opts)]
 	clear(scratch.share)
-	scratch.serviced = scratch.serviced[:len(opts)]
 	scratch.order = scratch.order[:0]
-	res := phasesResult{
-		serviced: scratch.serviced,
-		share:    scratch.share,
-	}
+	res := phasesResult{share: scratch.share}
 	// Sort by ID so that the arg-min scan breaks ties toward lower IDs.
 	available := scratch.available[:0]
 	for pos, opt := range opts {
@@ -199,7 +193,10 @@ func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]
 		bestIdx, bestK := -1, 0
 		var bestShare econ.Money
 		for idx, av := range available {
-			f := len(forced[av.opt.ID])
+			f := 0
+			if forced != nil {
+				f = forced[av.pos]
+			}
 			optBids := collectOptBids(scratch, active, av.opt.ID)
 			k := servicedPrefix(av.opt.Cost, optBids, f)
 			if k+f == 0 {
@@ -216,14 +213,10 @@ func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]
 		chosen := available[bestIdx]
 		available = append(available[:bestIdx], available[bestIdx+1:]...)
 		optBids := collectOptBids(scratch, active, chosen.opt.ID)
-		servicedUsers := append(scratch.serviced[chosen.pos][:0], forced[chosen.opt.ID]...)
 		for _, ub := range optBids[:bestK] {
-			servicedUsers = append(servicedUsers, ub.user)
 			res.newGrants = append(res.newGrants, Grant{User: ub.user, Opt: chosen.opt.ID})
 		}
-		sortUsers(servicedUsers)
 		scratch.order = append(scratch.order, chosen.pos)
-		res.serviced[chosen.pos] = servicedUsers
 		res.share[chosen.pos] = bestShare
 		// Drop the newly serviced bidders from the active set — their
 		// bids for every other optimization fall to 0. optBids[:bestK]

@@ -41,6 +41,13 @@ type substUser struct {
 	payment    econ.Money
 }
 
+// indexedSubstUser is one entry of SubstOn's index of unpaid users; see
+// indexedUser.
+type indexedSubstUser struct {
+	id UserID
+	*substUser
+}
+
 // SubstOn is the SubstOn Mechanism (paper, Mechanism 4): the online
 // cost-sharing mechanism for substitutive optimizations. Each slot it runs
 // the SubstOff phase loop over the residual values of users seen so far,
@@ -52,7 +59,11 @@ type substUser struct {
 // departed users keep counting toward the share denominator.
 //
 // The per-slot phase loop runs on scratch buffers reused across
-// AdvanceSlot calls and on O(1) suffix-sum residual lookups.
+// AdvanceSlot calls and on O(1) suffix-sum residual lookups. Like AddOn,
+// AdvanceSlot touches only the unpaid users, held in two index slices
+// (not-yet-started and live), so a slot costs O(live · log live) plus a
+// scan of the not-yet-started bids, independent of how many users have
+// already departed; Close is O(unpaid).
 type SubstOn struct {
 	opts []Optimization
 	// optPos maps each optimization to its position in opts — the index
@@ -62,7 +73,16 @@ type SubstOn struct {
 	now         Slot
 	users       map[UserID]*substUser
 	implemented map[OptID]Slot
-	granted     map[OptID][]UserID // forced sets, maintained incrementally
+	// granted[pos] counts the users ever granted opts[pos]: the size of
+	// its forced set, and its cost-share denominator.
+	granted []int
+
+	// pending holds users whose first bid's start slot has not been
+	// reached; live holds users who have started and are not yet paid,
+	// granted or not. Together they are exactly the unpaid users. Their
+	// backing arrays are reused across slots; Close drops both.
+	pending []indexedSubstUser
+	live    []indexedSubstUser
 
 	bidders []substBidder // per-slot buffer, reused across AdvanceSlot
 	scratch substScratch
@@ -83,7 +103,7 @@ func NewSubstOn(opts []Optimization) *SubstOn {
 		optPos:      optPos,
 		users:       make(map[UserID]*substUser),
 		implemented: make(map[OptID]Slot),
-		granted:     make(map[OptID][]UserID),
+		granted:     make([]int, len(opts)),
 	}
 }
 
@@ -123,11 +143,13 @@ func (s *SubstOn) Submit(bid OnlineSubstBid) error {
 	online := OnlineBid{User: bid.User, Start: bid.Start, End: bid.End, Values: bid.Values}
 	u := s.users[bid.User]
 	if u == nil {
-		s.users[bid.User] = &substUser{
+		u = &substUser{
 			opts:  append([]OptID(nil), bid.Opts...),
 			start: bid.Start,
 			curve: newValueCurve(online),
 		}
+		s.users[bid.User] = u
+		s.pending = append(s.pending, indexedSubstUser{bid.User, u})
 		return nil
 	}
 	if u.paid {
@@ -163,16 +185,29 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 	t := s.now
 	report := SlotReport{Slot: t, Departures: make(map[UserID]econ.Money)}
 
+	// Move users whose first bid's start slot has come from pending to
+	// live; a revision's curve may begin earlier, but participation is
+	// gated on the first bid.
+	pending := s.pending[:0]
+	for _, u := range s.pending {
+		if t < u.start {
+			pending = append(pending, u)
+		} else {
+			s.live = append(s.live, u)
+		}
+	}
+	s.pending = pending
+
 	bidders := s.bidders[:0]
-	for id, u := range s.users {
-		if u.granted || t < u.start {
+	for _, u := range s.live {
+		if u.granted {
 			continue
 		}
 		r := u.curve.residual(t)
 		if r <= 0 {
 			continue
 		}
-		bidders = append(bidders, substBidder{user: id, bid: r, opts: u.opts})
+		bidders = append(bidders, substBidder{user: u.id, bid: r, opts: u.opts})
 	}
 	phases := substPhases(s.opts, bidders, s.granted, &s.scratch)
 	s.bidders = bidders[:0]
@@ -181,7 +216,7 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 		u := s.users[g.User]
 		u.granted = true
 		u.grantedOpt = g.Opt
-		s.granted[g.Opt] = append(s.granted[g.Opt], g.User)
+		s.granted[s.optPos[g.Opt]]++
 	}
 	report.NewGrants = phases.newGrants
 	for _, pos := range phases.order {
@@ -193,41 +228,47 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 	}
 	sortOpts(report.Implemented)
 
-	for id, u := range s.users {
-		if u.granted && t >= u.start && t <= u.curve.end {
-			report.Active = append(report.Active, Grant{User: id, Opt: u.grantedOpt})
+	// One pass over the live set lists granted users as active and
+	// charges those whose interval ends now, dropping them from the
+	// index. end is read here, not cached, since a revision may extend
+	// it.
+	live := s.live[:0]
+	for _, u := range s.live {
+		if u.granted {
+			report.Active = append(report.Active, Grant{User: u.id, Opt: u.grantedOpt})
 		}
-	}
-	sortGrants(report.Active)
-
-	for id, u := range s.users {
-		if u.paid || u.curve.end != t {
+		if u.curve.end != t {
+			live = append(live, u)
 			continue
 		}
 		u.paid = true
 		if u.granted {
 			u.payment = phases.share[s.optPos[u.grantedOpt]]
 		}
-		report.Departures[id] = u.payment
+		report.Departures[u.id] = u.payment
 	}
+	s.live = live
+	sortGrants(report.Active)
 	return report
 }
 
 // Close settles every user who has not yet paid at the current cost-share
 // of her granted optimization. It returns the payments charged by this
-// call.
+// call. Close empties the index of unpaid users, so a later AdvanceSlot
+// prices only bids submitted after it.
 func (s *SubstOn) Close() map[UserID]econ.Money {
-	settled := make(map[UserID]econ.Money)
-	for id, u := range s.users {
-		if u.paid {
-			continue
+	settled := make(map[UserID]econ.Money, len(s.pending)+len(s.live))
+	for _, unpaid := range [2][]indexedSubstUser{s.pending, s.live} {
+		for _, u := range unpaid {
+			u.paid = true
+			if u.granted {
+				pos := s.optPos[u.grantedOpt]
+				u.payment = s.opts[pos].Cost.DivCeil(s.granted[pos])
+			}
+			settled[u.id] = u.payment
 		}
-		u.paid = true
-		if u.granted {
-			u.payment = s.opts[s.optPos[u.grantedOpt]].Cost.DivCeil(len(s.granted[u.grantedOpt]))
-		}
-		settled[id] = u.payment
 	}
+	s.pending, s.live = nil, nil
 	return settled
 }
 

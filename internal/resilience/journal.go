@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 
 	"sharedopt/internal/core"
@@ -63,35 +64,55 @@ type Record struct {
 
 // fingerprint is the record's canonical payload with the sequence number
 // zeroed — the identity under which duplicate submissions are detected.
-func (r Record) fingerprint() string {
+func (r Record) fingerprint() string { return string(r.zeroSeqPayload()) }
+
+// zeroSeqPayload is the record's JSON payload with the sequence number
+// zeroed: the fingerprint's bytes, and the journal payload once
+// encodeFrame splices the real sequence number in.
+func (r Record) zeroSeqPayload() []byte {
 	r.Seq = 0
 	payload, err := json.Marshal(r)
 	if err != nil {
 		// Record has no unmarshalable fields; this cannot happen.
 		panic(err)
 	}
-	return string(payload)
+	return payload
 }
 
-// encodeRecord frames one record as a journal line:
+// zeroSeqPrefix opens every zero-seq payload: seq is Record's first
+// field and is never omitted.
+const zeroSeqPrefix = `{"seq":0`
+
+// encodeFrame frames one record as a journal line with sequence number
+// seq, given the record's zero-seq payload:
 //
 //	<crc32-ieee-hex8> <payload-json>\n
 //
-// The checksum covers exactly the payload bytes, so any torn, bit-rotted
-// or short-written tail fails verification and is discarded on replay.
-func encodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding record %d: %w", rec.Seq, err)
+// The payload is the zero-seq one with its {"seq":0 prefix replaced by
+// {"seq":<seq>, byte for byte what marshalling the record with Seq set
+// yields, so each record is marshalled once. The checksum covers exactly
+// the payload bytes, so any torn, bit-rotted or short-written tail fails
+// verification and is discarded on replay.
+func encodeFrame(seq uint64, zeroSeq []byte) ([]byte, error) {
+	if !bytes.HasPrefix(zeroSeq, []byte(zeroSeqPrefix)) {
+		return nil, fmt.Errorf("resilience: record %d payload does not open with %s", seq, zeroSeqPrefix)
 	}
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return nil, fmt.Errorf("resilience: record %d payload contains newline", rec.Seq)
+	if bytes.IndexByte(zeroSeq, '\n') >= 0 {
+		return nil, fmt.Errorf("resilience: record %d payload contains newline", seq)
 	}
-	out := make([]byte, 0, len(payload)+10)
-	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	out = append(out, '\n')
-	return out, nil
+	const head = len("xxxxxxxx ")
+	rest := zeroSeq[len(zeroSeqPrefix):]
+	out := make([]byte, head, head+len(zeroSeqPrefix)+20+len(rest)+1)
+	out = append(out, zeroSeqPrefix[:len(zeroSeqPrefix)-1]...)
+	out = strconv.AppendUint(out, seq, 10)
+	out = append(out, rest...)
+	sum := crc32.ChecksumIEEE(out[head:])
+	for i := 7; i >= 0; i-- {
+		out[i] = "0123456789abcdef"[sum&0xf]
+		sum >>= 4
+	}
+	out[8] = ' '
+	return append(out, '\n'), nil
 }
 
 // decodeLine parses one framed journal line (without the trailing
@@ -171,14 +192,18 @@ func NewJournalAt(w io.Writer, seq uint64) *Journal { return &Journal{w: w, seq:
 // writer) is promoted to io.ErrShortWrite. Any failure wedges the
 // journal: the record may be partially on disk, so nothing further may
 // be appended after it.
-func (j *Journal) Append(rec Record) error {
+func (j *Journal) Append(rec Record) error { return j.appendPayload(rec.zeroSeqPayload()) }
+
+// appendPayload is Append for a record already marshalled by
+// zeroSeqPayload, so a caller that fingerprinted the record does not
+// marshal it again.
+func (j *Journal) appendPayload(zeroSeq []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return fmt.Errorf("%w: %w", ErrJournalBroken, j.err)
 	}
-	rec.Seq = j.seq + 1
-	frame, err := encodeRecord(rec)
+	frame, err := encodeFrame(j.seq+1, zeroSeq)
 	if err != nil {
 		return err // encoding failed before any bytes were written: not wedged
 	}
@@ -190,7 +215,7 @@ func (j *Journal) Append(rec Record) error {
 		j.err = err
 		return fmt.Errorf("resilience: journal append: %w", err)
 	}
-	j.seq = rec.Seq
+	j.seq++
 	return nil
 }
 

@@ -183,20 +183,22 @@ func (s *JournaledService) submitLocked(rec Record, apply func() error) (seq uin
 	if err := s.j.Err(); err != nil {
 		return 0, false, fmt.Errorf("%w: %w", ErrJournalBroken, err)
 	}
-	fp := rec.fingerprint()
-	if prev, ok := s.seen[fp]; ok {
+	// The fingerprint's bytes are also the journal payload, so the
+	// record is marshalled once.
+	fp := rec.zeroSeqPayload()
+	if prev, ok := s.seen[string(fp)]; ok {
 		return prev, false, nil
 	}
 	if err := apply(); err != nil {
 		return 0, false, err
 	}
-	if err := s.j.Append(rec); err != nil {
+	if err := s.j.appendPayload(fp); err != nil {
 		return 0, false, err
 	}
-	// Append assigned the record the journal's next sequence number;
-	// read it back so the acknowledgment names the durable position.
+	// The journal assigned the record its next sequence number; read it
+	// back so the acknowledgment names the durable position.
 	seq = s.j.Seq()
-	s.seen[fp] = seq
+	s.seen[string(fp)] = seq
 	return seq, true, nil
 }
 
